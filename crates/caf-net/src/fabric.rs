@@ -19,8 +19,11 @@
 //! duplicates, delays, and stalls traffic per the plan's seeded schedule,
 //! and every remote message is routed through the ack/retry sublayer
 //! ([`crate::reliable`]): per-link sequence numbers, receiver-side dedup,
-//! ack timers with exponential backoff, and a capped retry budget whose
-//! exhaustion is surfaced to the runtime's no-progress watchdog.
+//! acknowledgement on arrival (an ack is rolled on the reverse link the
+//! moment its data copy lands in the receiver's inbox, and never waits
+//! in an inbox itself), ack timers with exponential backoff, and a capped
+//! retry budget whose exhaustion is surfaced to the runtime's no-progress
+//! watchdog.
 //!
 //! Fail-stop crashes: a [`CrashFault`](caf_core::fault::CrashFault) in the
 //! plan (or a runtime call to [`Fabric::mark_crashed`], e.g. from a panic
@@ -100,6 +103,14 @@ struct Chaos<M> {
 /// Retransmission batch drained under the sender lock: destination,
 /// sequence, shared payload slot, payload bytes.
 type Resend<M> = Vec<(ImageId, u64, Arc<Mutex<Option<M>>>, usize)>;
+
+/// What the wire did to one transmission it did not destroy.
+struct Fate {
+    /// When the frame lands in the target inbox.
+    arrival: Instant,
+    /// When the injected duplicate lands, if the plan duplicated it.
+    dup_arrival: Option<Instant>,
+}
 
 /// The interconnect between `n` images, carrying messages of type `M`.
 pub struct Fabric<M> {
@@ -249,8 +260,8 @@ impl<M: Send> Fabric<M> {
     /// runtime's panic boundary calls this when an image closure panics.
     /// Idempotent; wakes every parked image so senders re-check flags.
     pub fn mark_crashed(&self, image: ImageId) {
-        self.crashed[image.index()].store(true, Ordering::Release);
         self.crashed_at[image.index()].lock().get_or_insert_with(Instant::now);
+        self.crashed[image.index()].store(true, Ordering::Release);
         for inbox in &self.inboxes {
             inbox.poke();
         }
@@ -317,9 +328,24 @@ impl<M: Send> Fabric<M> {
     }
 
     /// Unacknowledged reliable messages currently owned by `image` as a
-    /// sender (its retry queue depth). Zero without a fault layer.
+    /// sender (its retry queue depth). Entries whose ack has reached the
+    /// sender do not count, pumped or not. Zero without a fault layer.
     pub fn retry_backlog(&self, image: ImageId) -> usize {
-        self.chaos.as_ref().map_or(0, |c| c.senders[image.index()].lock().backlog())
+        self.chaos.as_ref().map_or(0, |c| {
+            c.senders[image.index()]
+                .lock()
+                .backlog(Instant::now(), |dest| self.crash_time(dest))
+        })
+    }
+
+    /// When `image` fail-stopped, if it has. Crash sites record the time
+    /// before they raise the flag, so a raised flag always has one.
+    fn crash_time(&self, image: usize) -> Option<Instant> {
+        if self.crashed[image].load(Ordering::Acquire) {
+            *self.crashed_at[image].lock()
+        } else {
+            None
+        }
     }
 
     /// Aborts the fabric: flow control stops parking senders (over-capacity
@@ -428,6 +454,7 @@ impl<M: Send> Fabric<M> {
                         bytes: payload_bytes,
                         attempts: 1,
                         next_retry: Instant::now() + chaos.retry.timeout_after(1),
+                        ack_due: None,
                     });
                     seq
                 };
@@ -440,9 +467,36 @@ impl<M: Send> Fabric<M> {
     /// Wire-level transmission: applies the cost model, non-FIFO jitter,
     /// and — under a fault plan — drops, duplicates, delay spikes, and
     /// straggler deferral. Every call is one die roll; retransmissions of
-    /// the same logical message roll independently.
+    /// the same logical message roll independently. Each `Data` copy that
+    /// lands is acknowledged on arrival (see [`Fabric::ack_on_arrival`]).
     fn transmit(&self, from: ImageId, to: ImageId, payload_bytes: usize, wire: Wire<M>) {
+        let Some(fate) = self.roll(from, to, payload_bytes, Instant::now()) else { return };
         let inbox = &self.inboxes[to.index()];
+        if let Wire::Data { link_seq, .. } = &wire {
+            for arrival in std::iter::once(fate.arrival).chain(fate.dup_arrival) {
+                self.ack_on_arrival(from, to, *link_seq, arrival);
+            }
+        }
+        if let Some(at) = fate.dup_arrival {
+            if let Some(copy) = wire.clone_protocol() {
+                inbox.push(at, copy);
+            }
+        }
+        inbox.push(fate.arrival, wire);
+    }
+
+    /// Rolls the wire's fate for one transmission of `payload_bytes`
+    /// injected at `sent` (now, or a future instant for an ack sent on
+    /// arrival). Takes the next wire sequence number, fires scheduled
+    /// crashes, and counts drops and duplicates; `None` means the wire
+    /// destroyed the frame.
+    fn roll(
+        &self,
+        from: ImageId,
+        to: ImageId,
+        payload_bytes: usize,
+        sent: Instant,
+    ) -> Option<Fate> {
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
         // Scheduled crashes fire on the first transmission at or past
         // their trigger sequence — the same wire-seq keying both
@@ -450,8 +504,8 @@ impl<M: Send> Fabric<M> {
         if let Some(chaos) = &self.chaos {
             for c in &chaos.plan.crashes {
                 if seq >= c.at_seq && !self.crashed[c.image].load(Ordering::Acquire) {
-                    self.crashed[c.image].store(true, Ordering::Release);
                     self.crashed_at[c.image].lock().get_or_insert_with(Instant::now);
+                    self.crashed[c.image].store(true, Ordering::Release);
                 }
             }
         }
@@ -459,7 +513,7 @@ impl<M: Send> Fabric<M> {
         // arming transmission itself is already subject to the drop.
         if self.is_crashed(from) || self.is_crashed(to) {
             self.stats.note_crash_drop();
-            return;
+            return None;
         }
         let mut delay = self.model.injection_overhead;
         if from != to {
@@ -471,8 +525,9 @@ impl<M: Send> Fabric<M> {
                 }
             }
         }
+        let mut dup_arrival = None;
         if let Some(chaos) = self.chaos.as_ref().filter(|_| from != to) {
-            let elapsed = chaos.epoch.elapsed();
+            let elapsed = sent.saturating_duration_since(chaos.epoch);
             // A stalled endpoint defers traffic until its window closes:
             // a descheduled sender cannot inject, a descheduled receiver
             // cannot run handlers.
@@ -484,20 +539,45 @@ impl<M: Send> Fabric<M> {
             }
             if decision.drop {
                 self.stats.note_wire_drop();
-                return; // vanishes; the retry timer will answer
+                return None; // vanishes; the retry timer will answer
             }
             if decision.duplicate {
-                if let Some(copy) = wire.clone_protocol() {
-                    self.stats.note_wire_dup();
-                    let extra = self.model.latency / 2 + Duration::from_micros(5);
-                    inbox.push(Instant::now() + delay + extra, copy);
-                }
+                self.stats.note_wire_dup();
+                let extra = self.model.latency / 2 + Duration::from_micros(5);
+                dup_arrival = Some(sent + delay + extra);
             }
         }
-        inbox.push(Instant::now() + delay, wire);
+        Some(Fate { arrival: sent + delay, dup_arrival })
     }
 
-    /// Retransmits every overdue outstanding message owned by `image`,
+    /// The receiver's acknowledgement of one `Data` copy of `link_seq`
+    /// landing in `receiver`'s inbox at `arrival`: the ack is injected at
+    /// that instant on the reverse link, rolls its own fault decision, and
+    /// if it survives is recorded on the sender's outstanding entry as
+    /// due at its own arrival. It never occupies an inbox.
+    fn ack_on_arrival(&self, sender: ImageId, receiver: ImageId, link_seq: u64, arrival: Instant) {
+        let Some(chaos) = &self.chaos else { return };
+        // Posthumous filter: a receiver that has confirmed the sender
+        // dead discards its frames un-acked (see `open`).
+        if let Some(fl) = &chaos.failure {
+            let accepts = fl.observers[receiver.index()]
+                .lock()
+                .detector
+                .accepts(sender.index(), FIRST_INCARNATION);
+            if !accepts {
+                return;
+            }
+        }
+        self.stats.note_ack();
+        if let Some(ack) = self.roll(receiver, sender, ACK_BYTES, arrival) {
+            chaos.senders[sender.index()]
+                .lock()
+                .note_ack(receiver.index(), link_seq, ack.arrival);
+        }
+    }
+
+    /// Applies every acknowledgement that has reached `image`, then
+    /// retransmits every overdue outstanding message it still owns,
     /// advancing ack timers with exponential backoff and abandoning
     /// messages whose retry budget is exhausted. Called from the sending
     /// image's own fabric entry points (lazy pumping — the fabric has no
@@ -523,6 +603,8 @@ impl<M: Send> Fabric<M> {
         };
         let mut resend: Resend<M> = Vec::new();
         let mut exhausted: Vec<usize> = Vec::new();
+        // Peers whose acks were applied: each is a life sign.
+        let mut ackers: Vec<usize> = Vec::new();
         {
             let mut st = chaos.senders[image.index()].lock();
             for (dest, queue) in st.outstanding.iter_mut().enumerate() {
@@ -533,7 +615,18 @@ impl<M: Send> Fabric<M> {
                     queue.clear();
                     continue;
                 }
+                let acker_crash = self.crash_time(dest);
+                let mut acked = false;
                 queue.retain_mut(|o| {
+                    // Acks first: an entry whose ack has landed is done,
+                    // however overdue its retransmission timer is.
+                    if o.acked_by(now, acker_crash) {
+                        acked = true;
+                        return false;
+                    }
+                    if o.ack_due.is_some_and(|due| due <= now) {
+                        o.ack_due = None; // the acker died before sending it
+                    }
                     if o.next_retry > now {
                         return true;
                     }
@@ -551,6 +644,14 @@ impl<M: Send> Fabric<M> {
                     resend.push((ImageId(dest), o.link_seq, Arc::clone(&o.payload), o.bytes));
                     true
                 });
+                if acked && chaos.failure.is_some() {
+                    ackers.push(dest);
+                }
+            }
+        }
+        for dest in ackers {
+            if !self.note_life_sign(chaos, image, ImageId(dest), FIRST_INCARNATION) {
+                self.stats.note_posthumous_drop();
             }
         }
         if let Some(fl) = &chaos.failure {
@@ -614,12 +715,13 @@ impl<M: Send> Fabric<M> {
         }
     }
 
-    /// Earliest retransmission deadline owed by `image`, for park
-    /// clamping (a blocked sender must wake in time to retransmit).
-    fn next_retry_at(&self, image: ImageId) -> Option<Instant> {
+    /// Earliest ack or retransmission deadline owed by `image`, for park
+    /// clamping: a blocked sender must wake in time to retransmit, and a
+    /// sender waiting for its backlog to drain must see its acks land.
+    fn next_event_at(&self, image: ImageId) -> Option<Instant> {
         self.chaos
             .as_ref()
-            .and_then(|c| c.senders[image.index()].lock().next_retry_at())
+            .and_then(|c| c.senders[image.index()].lock().next_event_at())
     }
 
     /// Protocol processing of one popped wire envelope at `image`.
@@ -634,16 +736,13 @@ impl<M: Send> Fabric<M> {
                 let chaos = self.chaos.as_ref().expect("Data frames only exist under chaos");
                 // Posthumous filter: data from a confirmed-dead
                 // incarnation (a retransmit buffered in flight when the
-                // sender died) must not be acked, delivered, or allowed
-                // to resurrect work under a poisoned finish epoch.
+                // sender died) must not be delivered or allowed to
+                // resurrect work under a poisoned finish epoch. (The ack
+                // went out on arrival, in `transmit`.)
                 if !self.note_life_sign(chaos, image, from, FIRST_INCARNATION) {
                     self.stats.note_posthumous_drop();
                     return None;
                 }
-                // Always (re-)acknowledge — the previous ack may itself
-                // have been dropped. Acks ride the faulty wire too.
-                self.stats.note_ack();
-                self.transmit(image, from, ACK_BYTES, Wire::Ack { from: image, link_seq });
                 let fresh =
                     chaos.receivers[image.index()].lock().trackers[from.index()].note(link_seq);
                 if fresh {
@@ -657,20 +756,6 @@ impl<M: Send> Fabric<M> {
                     self.stats.note_dup_discarded();
                     None
                 }
-            }
-            Wire::Ack { from, link_seq } => {
-                if let Some(chaos) = &self.chaos {
-                    if !self.note_life_sign(chaos, image, from, FIRST_INCARNATION) {
-                        self.stats.note_posthumous_drop();
-                        return None;
-                    }
-                    let mut st = chaos.senders[image.index()].lock();
-                    let queue = &mut st.outstanding[from.index()];
-                    if let Some(pos) = queue.iter().position(|o| o.link_seq == link_seq) {
-                        queue.remove(pos);
-                    }
-                }
-                None
             }
             Wire::Heartbeat { from, incarnation } => {
                 if let Some(chaos) = &self.chaos {
@@ -719,12 +804,12 @@ impl<M: Send> Fabric<M> {
     }
 
     /// Blocking receive for `image` with a deadline. Protocol frames
-    /// (acks, filtered duplicates) are consumed without surfacing; parks
-    /// are clamped to the next retransmission deadline.
+    /// (heartbeats, filtered duplicates) are consumed without surfacing;
+    /// parks are clamped to the next ack or retransmission deadline.
     pub fn recv_until(&self, image: ImageId, deadline: Instant) -> Option<M> {
         loop {
             self.pump_retries(image);
-            let park = self.next_retry_at(image).map_or(deadline, |r| r.min(deadline));
+            let park = self.next_event_at(image).map_or(deadline, |r| r.min(deadline));
             match self.inboxes[image.index()].pop_due_until(park) {
                 Some(wire) => {
                     if let Some(msg) = self.open(image, wire) {
@@ -753,11 +838,11 @@ impl<M: Send> Fabric<M> {
     }
 
     /// Parks `image` until a message arrives / becomes due, a poke lands,
-    /// a retransmission falls due, or `deadline` passes. See
+    /// an ack or retransmission falls due, or `deadline` passes. See
     /// [`Inbox::wait_activity`].
     pub fn wait_activity(&self, image: ImageId, deadline: Instant) {
         self.pump_retries(image);
-        let park = self.next_retry_at(image).map_or(deadline, |r| r.min(deadline));
+        let park = self.next_event_at(image).map_or(deadline, |r| r.min(deadline));
         self.inboxes[image.index()].wait_activity(park);
         self.pump_retries(image);
     }
@@ -878,8 +963,8 @@ mod tests {
         got
     }
 
-    /// The sender must keep polling (acks land in *its* inbox) for the
-    /// protocol to converge; this helper pumps both sides.
+    /// The sender must keep polling (its fabric calls apply due acks and
+    /// pump retransmissions) for the protocol to converge.
     fn pump_sender(f: &Arc<Fabric<u32>>, sender: ImageId) {
         while f.try_recv(sender).is_some() {}
     }
@@ -989,6 +1074,57 @@ mod tests {
         assert_eq!(surfaced, vec![11], "dedup must absorb every retransmission");
         assert!(f.stats().dups_discarded() > 0, "retransmits should have arrived");
         assert_eq!(f.stats().delivered(), 1);
+    }
+
+    #[test]
+    fn acks_land_while_the_receiver_is_busy() {
+        // A lossless plan, a full 512-deep inbox, and a receiver that pops
+        // nothing for five ack timeouts: acks are sent on arrival, so the
+        // sender must see all 512 acknowledged without a single
+        // retransmission, however long the frames wait to be popped.
+        const FRAMES: u32 = 512;
+        let model = NetworkModel {
+            latency: Duration::from_micros(20),
+            inbox_capacity: Some(FRAMES as usize),
+            ..NetworkModel::instant()
+        };
+        let retry = RetryPolicy::default();
+        let quiet = retry.ack_timeout * 5;
+        let f: Arc<Fabric<u32>> = Fabric::with_faults(2, model, false, FaultPlan::none(17), retry);
+        for i in 0..FRAMES {
+            f.send(img(0), img(1), 8, i);
+        }
+        let end = Instant::now() + quiet;
+        while Instant::now() < end {
+            f.wait_activity(img(0), end);
+        }
+        assert_eq!(f.stats().retries(), 0, "retransmitted frames that had arrived");
+        assert_eq!(f.retry_backlog(img(0)), 0, "acks of arrived frames never landed");
+        assert_eq!(f.stats().acks(), FRAMES as u64);
+        assert_eq!(f.inbox_depth(img(1)), FRAMES as usize, "only the originals are queued");
+        let mut got: Vec<u32> = std::iter::from_fn(|| f.try_recv(img(1))).collect();
+        got.sort_unstable();
+        assert_eq!(got, (0..FRAMES).collect::<Vec<_>>());
+        assert_eq!(f.stats().dups_discarded(), 0);
+    }
+
+    #[test]
+    fn ack_from_an_image_that_crashed_first_is_discarded() {
+        // The data lands half a second after it is sent and its ack half a
+        // second later; the receiver fail-stops before either, so the ack
+        // never counts and the message stays outstanding.
+        let model = NetworkModel { latency: Duration::from_millis(500), ..NetworkModel::instant() };
+        let retry = RetryPolicy { ack_timeout: Duration::from_secs(60), ..RetryPolicy::default() };
+        let f: Arc<Fabric<u32>> = Fabric::with_faults(2, model, false, FaultPlan::none(3), retry);
+        f.send(img(0), img(1), 0, 5);
+        assert_eq!(f.stats().acks(), 1, "the ack is rolled when the data is sent");
+        f.mark_crashed(img(1));
+        assert_eq!(f.retry_backlog(img(0)), 1);
+        let st = f.chaos.as_ref().unwrap().senders[0].lock();
+        let o = &st.outstanding[1][0];
+        let due = o.ack_due.expect("a lossless wire delivers the ack");
+        assert!(!o.acked_by(due, f.crash_time(1)), "crashed before its ack fell due");
+        assert!(o.acked_by(due, None), "a live receiver's ack counts once due");
     }
 
     #[test]

@@ -10,11 +10,23 @@
 //!   all point at it, and the first copy to arrive fresh takes the value.
 //!   Later copies are filtered by sequence-number dedup before they would
 //!   touch the (now empty) slot.
+//! * **Acknowledgement happens on arrival**, not when the receiver pops
+//!   the frame. When a `Data` copy survives the wire into the receiver's
+//!   inbox, the fabric rolls the ack's own fault decision on the reverse
+//!   link (with its own wire sequence number) and, if the ack survives,
+//!   records on the sender's [`Outstanding`] entry when it becomes
+//!   visible there: the data's arrival plus the ack's wire time. Acks
+//!   never occupy an inbox, so the round trip the retry timer measures is
+//!   wire time, not the time the ack would spend queued behind data in
+//!   two inboxes. Every surviving copy is acked (the earliest due time
+//!   wins); dedup still happens when the receiver pops.
 //! * The fabric has **no progress thread**. Retransmission timers are
 //!   pumped lazily from the sending image's own fabric calls (`send`,
 //!   `try_recv`, `recv_until`, `wait_activity`) — the same polling
-//!   discipline GASNet imposes — and park deadlines are clamped to the
-//!   next retry due-time so a blocked sender still retransmits promptly.
+//!   discipline GASNet imposes. A pump first applies every ack that has
+//!   fallen due, then retransmits what is still overdue, and park
+//!   deadlines are clamped to the next ack or retry due-time so a blocked
+//!   sender both retransmits promptly and sees its backlog drain.
 //! * Delivery remains **unordered**: the runtime already tolerates
 //!   non-FIFO channels, so the layer restores *exactly-once* but not
 //!   ordering (no reorder buffer; the dedup tracker just remembers which
@@ -47,13 +59,6 @@ pub(crate) enum Wire<M> {
         /// Shared single-use payload slot.
         payload: Arc<Mutex<Option<M>>>,
     },
-    /// Receiver → sender acknowledgement of `link_seq`.
-    Ack {
-        /// Acknowledging image (the data's receiver).
-        from: ImageId,
-        /// Sequence number being acknowledged.
-        link_seq: u64,
-    },
     /// Unacknowledged keep-alive pumped on idle links when failure
     /// detection is engaged. Best-effort: heartbeats roll the same fault
     /// dice as data (a dropped heartbeat is how false suspects happen).
@@ -75,7 +80,6 @@ impl<M> Wire<M> {
             Wire::Data { from, link_seq, payload } => {
                 Some(Wire::Data { from: *from, link_seq: *link_seq, payload: Arc::clone(payload) })
             }
-            Wire::Ack { from, link_seq } => Some(Wire::Ack { from: *from, link_seq: *link_seq }),
             Wire::Heartbeat { from, incarnation } => {
                 Some(Wire::Heartbeat { from: *from, incarnation: *incarnation })
             }
@@ -91,10 +95,30 @@ pub(crate) struct Outstanding<M> {
     /// Transmissions so far (1 = the original send).
     pub attempts: u32,
     pub next_retry: Instant,
+    /// When the earliest surviving acknowledgement of any copy reaches
+    /// the sender; `None` while every copy or ack is lost or unrolled.
+    pub ack_due: Option<Instant>,
+}
+
+impl<M> Outstanding<M> {
+    /// Whether the acknowledgement has reached the sender by `now`.
+    /// `acker_crash` is when the receiver fail-stopped, if it has: an ack
+    /// that would fall due at or after that instant was never sent.
+    pub(crate) fn acked_by(&self, now: Instant, acker_crash: Option<Instant>) -> bool {
+        self.ack_due
+            .is_some_and(|due| due <= now && acker_crash.is_none_or(|at| at > due))
+    }
+
+    /// The next instant this entry needs its sender's attention: its ack
+    /// falling due or its retransmission timer, whichever comes first.
+    fn next_event(&self) -> Instant {
+        self.ack_due.map_or(self.next_retry, |due| due.min(self.next_retry))
+    }
 }
 
 /// Per-sending-image retry state: sequence allocators and outstanding
-/// queues, one slot per destination.
+/// queues, one slot per destination. Each queue is sorted by `link_seq`
+/// (pushed in allocation order, removed from anywhere).
 pub(crate) struct SenderState<M> {
     pub next_seq: Vec<u64>,
     pub outstanding: Vec<VecDeque<Outstanding<M>>>,
@@ -105,14 +129,39 @@ impl<M> SenderState<M> {
         SenderState { next_seq: vec![0; n], outstanding: (0..n).map(|_| VecDeque::new()).collect() }
     }
 
-    /// Total unacknowledged messages across all destinations.
-    pub(crate) fn backlog(&self) -> usize {
-        self.outstanding.iter().map(|q| q.len()).sum()
+    /// Unacknowledged messages across all destinations at `now`. An entry
+    /// whose ack has fallen due no longer counts, even before the next
+    /// pump removes it; `acker_crash(dest)` is as in
+    /// [`Outstanding::acked_by`].
+    pub(crate) fn backlog(
+        &self,
+        now: Instant,
+        acker_crash: impl Fn(usize) -> Option<Instant>,
+    ) -> usize {
+        let unacked = |(dest, q): (usize, &VecDeque<Outstanding<M>>)| {
+            let crash = acker_crash(dest);
+            q.iter().filter(|o| !o.acked_by(now, crash)).count()
+        };
+        self.outstanding.iter().enumerate().map(unacked).sum()
     }
 
-    /// Earliest pending retransmission deadline, if any.
-    pub(crate) fn next_retry_at(&self) -> Option<Instant> {
-        self.outstanding.iter().flat_map(|q| q.iter().map(|o| o.next_retry)).min()
+    /// Earliest pending ack or retransmission deadline, if any.
+    pub(crate) fn next_event_at(&self) -> Option<Instant> {
+        self.outstanding
+            .iter()
+            .flat_map(|q| q.iter().map(Outstanding::next_event))
+            .min()
+    }
+
+    /// Records an acknowledgement of `link_seq` from `dest` that reaches
+    /// this sender at `due`. Acks for entries already retired (acked by
+    /// an earlier copy, or abandoned) are ignored.
+    pub(crate) fn note_ack(&mut self, dest: usize, link_seq: u64, due: Instant) {
+        let queue = &mut self.outstanding[dest];
+        if let Ok(pos) = queue.binary_search_by_key(&link_seq, |o| o.link_seq) {
+            let o = &mut queue[pos];
+            o.ack_due = Some(o.ack_due.map_or(due, |d| d.min(due)));
+        }
     }
 }
 
@@ -132,6 +181,36 @@ impl RecvState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
+
+    fn entry(link_seq: u64, next_retry: Instant) -> Outstanding<()> {
+        Outstanding {
+            link_seq,
+            payload: Arc::new(Mutex::new(Some(()))),
+            bytes: 0,
+            attempts: 1,
+            next_retry,
+            ack_due: None,
+        }
+    }
+
+    #[test]
+    fn earliest_ack_wins_and_counts_once_due() {
+        let t0 = Instant::now();
+        let ms = |n| t0 + Duration::from_millis(n);
+        let mut st: SenderState<()> = SenderState::new(2);
+        st.outstanding[1].extend([entry(0, ms(10)), entry(1, ms(10)), entry(3, ms(10))]);
+        st.note_ack(1, 1, ms(4));
+        st.note_ack(1, 1, ms(2)); // a duplicate's ack that lands sooner
+        st.note_ack(1, 1, ms(6));
+        st.note_ack(1, 2, ms(1)); // no such entry: ignored
+        assert_eq!(st.outstanding[1][1].ack_due, Some(ms(2)));
+        assert_eq!(st.next_event_at(), Some(ms(2)));
+        assert_eq!(st.backlog(ms(1), |_| None), 3, "not due yet");
+        assert_eq!(st.backlog(ms(2), |_| None), 2);
+        assert_eq!(st.backlog(ms(2), |_| Some(ms(2))), 3, "acker crashed before it fell due");
+        assert_eq!(st.backlog(ms(2), |_| Some(ms(3))), 2, "acker crashed after");
+    }
 
     #[test]
     fn tracker_accepts_each_seq_once() {

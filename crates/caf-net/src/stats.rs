@@ -72,7 +72,7 @@ impl FabricStats {
     }
 
     /// Total logical messages sent through the fabric (excludes protocol
-    /// acks and retransmissions).
+    /// acks, heartbeats and retransmissions).
     pub fn messages(&self) -> u64 {
         self.messages.load(Ordering::Relaxed)
     }
@@ -118,7 +118,10 @@ impl FabricStats {
         self.dups_discarded.load(Ordering::Relaxed)
     }
 
-    /// Acknowledgements sent by receivers.
+    /// Acknowledgements sent by receivers: one per reliable data copy
+    /// (original, retransmit or injected duplicate) that lands in a live
+    /// receiver's inbox, sent at that arrival whether or not the wire
+    /// then delivers it. Acks never occupy an inbox.
     pub fn acks(&self) -> u64 {
         self.acks.load(Ordering::Relaxed)
     }

@@ -142,8 +142,9 @@ proptest! {
             if let Some(v) = f.recv_until(ImageId(3), Instant::now() + Duration::from_millis(1)) {
                 got.push(v);
             }
-            // Senders must poll their own inboxes: acks land there, and
-            // polling pumps their retransmission timers.
+            // Senders must keep calling into the fabric: their calls
+            // apply the acks that have reached them and pump their
+            // retransmission timers.
             for s in 0..3 {
                 while f.try_recv(ImageId(s)).is_some() {}
             }
@@ -151,6 +152,27 @@ proptest! {
         got.sort_unstable();
         prop_assert_eq!(got, (0..sends.len() as u64).collect::<Vec<_>>());
         prop_assert_eq!(f.stats().delivered(), sends.len() as u64, "double count");
+        // Every sender's backlog drains: each message's ack lands within
+        // the retry budget, and shutdown waits on exactly this.
+        while (0..3).any(|s| f.retry_backlog(ImageId(s)) > 0) {
+            prop_assert!(Instant::now() < deadline, "retry backlog never drained");
+            for s in 0..3 {
+                f.wait_activity(ImageId(s), Instant::now() + Duration::from_micros(100));
+            }
+            while f.try_recv(ImageId(3)).is_some() {}
+        }
+        // Without delay spikes or stalls every ack lands well inside the
+        // 1 ms ack timeout, so a retransmission answers a lost data copy
+        // or a lost ack and nothing else.
+        if spike_pct == 0 && !stall {
+            prop_assert!(
+                f.stats().retries() <= f.stats().wire_drops(),
+                "{} retries for {} wire drops", f.stats().retries(), f.stats().wire_drops()
+            );
+            if drop_pct == 0 {
+                prop_assert_eq!(f.stats().retries(), 0, "retransmitted on a lossless wire");
+            }
+        }
         // Nothing further may ever surface: late duplicates and
         // retransmits are filtered by sequence dedup, and a payload slot
         // is single-use even in principle.

@@ -53,8 +53,11 @@ fn run(n: usize, shipped: bool) -> (u64, u64, f64) {
         let mut completed = 0u64;
         let mut failures = 0u32;
         while failures < 2 * n as u32 {
-            // Drain local work.
-            while let Some(_t) = queues[me].lock().pop() {
+            // Drain local work. Pop into a local so the queue's guard is
+            // released before `progress()`: a thief's shipped steal runs
+            // inside it and locks this same queue.
+            loop {
+                let Some(_task) = queues[me].lock().pop() else { break };
                 busy(WORK_PER_TASK_US);
                 completed += 1;
                 img.progress();

@@ -1,5 +1,7 @@
 #!/usr/bin/env bash
-# The full CI gate: build, tests, clippy (warnings are errors), rustfmt.
+# The full CI gate: build, tests, a time-limited example run, the
+# benchmark's build and tests, the model-checker smoke, the caf-lint
+# corpus, clippy (warnings are errors), rustfmt.
 #
 # Usage:
 #   scripts/ci.sh            # the standard gate
@@ -14,6 +16,19 @@ cargo build --workspace --all-targets
 
 echo "== test =="
 cargo test --workspace --quiet
+
+echo "== examples (time-limited) =="
+# The work-stealing example ships steal handlers that lock the victim's
+# queue from inside progress(); a deadlock there hangs instead of failing,
+# so bound it.
+timeout 120 ./target/debug/examples/work_stealing
+
+echo "== benchmark (perfbench builds against these crates; its own tests) =="
+# perfbench is a separate cargo package with path dependencies on the
+# crates: an API change that breaks it must fail here, not in a benchmark
+# run.
+cargo test --release --quiet --manifest-path perfbench/Cargo.toml
+python3 -m unittest discover -s perfbench/tests
 
 echo "== model-checker smoke (p=3, depth=2) =="
 # Time-boxed: the state cap truncates the two families that blow past it
